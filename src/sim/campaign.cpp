@@ -475,17 +475,6 @@ int campaign_main(int argc, char** argv, std::ostream& err) {
   CampaignOptions opts;
   bool stats_given = false;
   std::vector<char*> passthrough;
-  auto parse_int = [&](std::string_view flag, const char* text, long lo,
-                       long hi, long& value) {
-    char* end = nullptr;
-    value = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || value < lo || value > hi) {
-      err << "error: " << flag << " expects an integer between " << lo
-          << " and " << hi << '\n';
-      return false;
-    }
-    return true;
-  };
   auto parse_seconds = [&](std::string_view flag, const char* text,
                            double& value) {
     char* end = nullptr;
@@ -504,23 +493,24 @@ int campaign_main(int argc, char** argv, std::ostream& err) {
       return has_value;
     };
     long lv = 0;
+    auto int_value = [&](long lo, long hi) {
+      return need() && parse_int_flag(arg, argv[i + 1], lo, hi, lv, err);
+    };
     double dv = 0.0;
     if (arg == "--shards") {
-      if (!need() || !parse_int(arg, argv[i + 1], 2, 512, lv)) return 2;
+      if (!int_value(2, 512)) return 2;
       opts.shards = static_cast<int>(lv);
       ++i;
     } else if (arg == "--jobs") {
-      if (!need() || !parse_int(arg, argv[i + 1], 1, 1024, lv)) return 2;
+      if (!int_value(1, 1024)) return 2;
       opts.jobs = static_cast<int>(lv);
       ++i;
     } else if (arg == "--max-retries") {
-      if (!need() || !parse_int(arg, argv[i + 1], 0, 1000, lv)) return 2;
+      if (!int_value(0, 1000)) return 2;
       opts.max_retries = static_cast<int>(lv);
       ++i;
     } else if (arg == "--checkpoint-every") {
-      if (!need() || !parse_int(arg, argv[i + 1], 1, 1'000'000, lv)) {
-        return 2;
-      }
+      if (!int_value(1, 1'000'000)) return 2;
       opts.checkpoint_every = static_cast<int>(lv);
       ++i;
     } else if (arg == "--stall-timeout") {
@@ -566,7 +556,7 @@ int campaign_main(int argc, char** argv, std::ostream& err) {
       opts.child_args.emplace_back(argv[i + 1]);
       ++i;
     } else if (arg == "--replicate") {
-      if (!need() || !parse_int(arg, argv[i + 1], 1, 100'000, lv)) return 2;
+      if (!int_value(1, 100'000)) return 2;
       opts.sweep.replicate = static_cast<int>(lv);
       opts.child_args.emplace_back("--replicate");
       opts.child_args.emplace_back(argv[i + 1]);

@@ -383,6 +383,18 @@ bool parse_scenario_options(int argc, char** argv, ScenarioOptions& opts,
   return true;
 }
 
+bool parse_int_flag(std::string_view flag, const char* text, long lo, long hi,
+                    long& value, std::ostream& err) {
+  char* end = nullptr;
+  value = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || value < lo || value > hi) {
+    err << "error: " << flag << " expects an integer between " << lo
+        << " and " << hi << '\n';
+    return false;
+  }
+  return true;
+}
+
 bool open_output_file(const std::string& path, std::ofstream& file,
                       std::ostream& err) {
   file.open(path);
@@ -416,13 +428,6 @@ int run_scenario_cli(std::string_view name, ScenarioOptions& opts,
     return -1;
   }
   return rc;
-}
-
-int run_scenario_main(const char* name, int argc, char** argv) {
-  ScenarioOptions opts;
-  if (!parse_scenario_options(argc - 1, argv + 1, opts, std::cerr)) return 2;
-  const int rc = run_scenario_cli(name, opts, std::cerr);
-  return rc < 0 ? 2 : rc;
 }
 
 }  // namespace tfmcc

@@ -57,10 +57,9 @@ std::vector<std::string_view> split(std::string_view text, char sep) {
 
 struct PointResult {
   int rc{0};
-  /// The run's CSV content as an encoded RunTrace blob (commentary already
-  /// stripped, rows already split into cells by the worker thread), not the
-  /// raw text capture.
-  std::string trace;
+  /// The run's CSV content, commentary already stripped and rows already
+  /// split into cells by the worker thread.
+  RunTrace trace;
   std::string error;
 };
 
@@ -403,29 +402,28 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
   // supervisor polling read_checkpoint_progress sees strictly increasing
   // heartbeats from a live shard even when no new task folded.
   std::uint64_t heartbeat = 0;
+  // Point-granularity failure tolerance: one failed replicate fails its
+  // whole grid point (the point's statistics would be over a different
+  // replicate set than its neighbours').  Within --max-point-failures the
+  // sweep keeps running and marks the failed points, which the
+  // missing-point rule then leaves out of the aggregate.  Points restored
+  // as failed stay failed; only this run's failures count against the cap.
+  const int max_pf = sweep.max_point_failures;
+  std::vector<char> point_failed(grid.size(), 0);
+  int n_failed_points = 0;
 
   if (!sweep.resume_path.empty()) {
     SweepStateFile ckpt;
     if (!load_state_file(sweep.resume_path, ckpt, err)) return 2;
-    if (ckpt.kind != SweepStateFile::Kind::kCheckpoint) {
-      err << "error: '" << sweep.resume_path
-          << "' is a shard partial, not a checkpoint (merge it with "
-             "`tfmcc_sim merge` instead)\n";
-      return 2;
-    }
     if (!ckpt.manifest.matches(manifest, /*ignore_shard_index=*/false,
                                "checkpoint '" + sweep.resume_path + "'",
                                err)) {
       return 2;
     }
-    if (ckpt.header.empty() && !ckpt.points.empty()) {
-      err << "error: cannot load '" << sweep.resume_path
-          << "': point state without a CSV header\n";
-      return 2;
-    }
     folded = std::move(ckpt.folded);
     header = std::move(ckpt.header);
     heartbeat = ckpt.heartbeat;
+    for (std::size_t p : ckpt.failed) point_failed[p] = 1;
     if (!header.empty()) {
       per_point.assign(grid.size(),
                        summary::ColumnSummary{summary::split_csv(header)});
@@ -497,13 +495,6 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
   bool any_failed = false;
   bool merge_failed = false;
   bool checkpoint_failed = false;
-  // Point-granularity failure tolerance: one failed replicate fails its
-  // whole grid point (the point's statistics would be over a different
-  // replicate set than its neighbours').  Within --max-point-failures the
-  // sweep keeps running and masks the failed points out of the aggregate.
-  const int max_pf = sweep.max_point_failures;
-  std::vector<char> point_failed(grid.size(), 0);
-  int n_failed_points = 0;
 
   // Folds one completed task (caller holds fold_mu; called in task order).
   auto fold_task = [&](std::size_t t) {
@@ -526,14 +517,8 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
       }
     } else if (!merge_failed && point_failed[task_point(t)] == 0 &&
                (max_pf == 0 ? !any_failed : n_failed_points <= max_pf)) {
-      RunTrace trace;
-      std::string decode_err;
-      if (!RunTrace::decode(res.trace, trace, decode_err)) {
-        merge_log << "error: sweep point " << point_label(sweep.axes, point)
-                  << replicate_label(sweep, rep, n_rep)
-                  << " produced an unreadable trace: " << decode_err << '\n';
-        merge_failed = true;
-      } else if (trace.has_header()) {
+      const RunTrace& trace = res.trace;
+      if (trace.has_header()) {
         const std::string line = trace.header_line();
         if (header.empty()) {
           header = line;
@@ -563,15 +548,40 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
       }
     }
     // Folded (or unusable): release the capture.
-    res.trace.clear();
-    res.trace.shrink_to_fit();
+    res.trace = RunTrace{};
   };
 
-  // Snapshot the fold state to the checkpoint file (caller holds fold_mu).
-  // Checkpoints stop once a failure is recorded: persisting a failed task
-  // as folded would let a resume skip it silently.  `force` bypasses the
-  // checkpoint-every gate (but never the failure disarm) for the
-  // interrupt-flush path.
+  // The one snapshot of the fold state (caller holds fold_mu), in the
+  // format every state file uses: periodic checkpoints copy it to disk, and
+  // the final shard output or aggregate consumes it — `release` moves the
+  // accumulators out instead of copying them.
+  auto snapshot = [&](bool release) {
+    SweepStateFile s;
+    s.manifest = manifest;
+    s.header = header;
+    s.heartbeat = heartbeat;
+    s.folded = folded;
+    for (std::size_t p = 0; p < grid.size(); ++p) {
+      if (!shard_owns_point(manifest, p)) continue;
+      if (point_failed[p] != 0) {
+        // Its accumulator may hold a partial replicate set.
+        s.failed.push_back(p);
+      } else if (!per_point.empty() && per_point[p].row_count() > 0) {
+        if (release) {
+          s.points.emplace_back(p, std::move(per_point[p]));
+        } else {
+          s.points.emplace_back(p, per_point[p]);
+        }
+      }
+    }
+    return s;
+  };
+
+  // Persists the snapshot to the checkpoint file (caller holds fold_mu).
+  // Checkpoints stop once this run records a failure, so a crash after it
+  // resumes from before the failure and retries the point.  `force`
+  // bypasses the checkpoint-every gate (but never the failure disarm) for
+  // the interrupt-flush path.
   auto write_checkpoint = [&](bool force) {
     if (sweep.checkpoint_path.empty() || checkpoint_failed || any_failed ||
         merge_failed) {
@@ -585,19 +595,9 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
       return;
     }
     folds_since_ckpt = 0;
-    SweepStateFile ck;
-    ck.kind = SweepStateFile::Kind::kCheckpoint;
-    ck.manifest = manifest;
-    ck.header = header;
-    ck.heartbeat = ++heartbeat;
-    ck.folded = folded;
-    for (std::size_t p = 0; p < grid.size(); ++p) {
-      if (shard_owns_point(manifest, p) && !per_point.empty() &&
-          per_point[p].row_count() > 0) {
-        ck.points.emplace_back(p, per_point[p]);
-      }
-    }
-    if (!save_state_file_atomic(ck, sweep.checkpoint_path, ckpt_log)) {
+    ++heartbeat;
+    if (!save_state_file_atomic(snapshot(/*release=*/false),
+                                sweep.checkpoint_path, ckpt_log)) {
       checkpoint_failed = true;
     }
   };
@@ -637,7 +637,7 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
       }
       // Strip commentary and split cells here, in the worker, so the fold
       // (serialized behind fold_mu) only replays pre-parsed rows.
-      RunTrace::parse_text(sink.str()).encode(results[t].trace);
+      results[t].trace = RunTrace::parse_text(sink.str());
       {
         std::lock_guard<std::mutex> lock(fold_mu);
         task_ready[t] = 1;
@@ -719,49 +719,17 @@ int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
       return 2;
     }
   }
-  if (tolerated) {
-    // Replay every failure and name every masked point, so the degraded
-    // aggregate can never be mistaken for a complete one.
-    err << failure_log.str();
-    err << "sweep: " << n_failed_points << " of " << grid.size()
-        << " grid point(s) failed (within --max-point-failures " << max_pf
-        << "); missing from the aggregate:\n";
-    for (std::size_t p = 0; p < grid.size(); ++p) {
-      if (point_failed[p] != 0) {
-        err << "  " << point_label(sweep.axes, grid[p]) << '\n';
-      }
-    }
-  }
-
+  // Replay every tolerated failure; the missing-point rule then names each
+  // failed point and makes the exit code 1.
+  if (tolerated) err << failure_log.str();
+  SweepStateFile state = snapshot(/*release=*/true);
   if (sweep.shard_count > 1) {
-    // Shards do not emit CSV: the partial artifact carries each owned
-    // point's accumulator bitwise, for `tfmcc_sim merge` to place into the
-    // full grid.  Failed (masked) points are left out entirely — their
-    // accumulators may hold a partial replicate set.
-    SweepStateFile part;
-    part.kind = SweepStateFile::Kind::kPartial;
-    part.manifest = manifest;
-    part.header = header;
-    for (std::size_t p = 0; p < grid.size(); ++p) {
-      if (shard_owns_point(manifest, p) && point_failed[p] == 0 &&
-          !per_point.empty() && per_point[p].row_count() > 0) {
-        part.points.emplace_back(p, std::move(per_point[p]));
-      }
-    }
-    part.save(out);
-    return tolerated ? 1 : 0;
+    // Shards do not emit CSV: their final state carries each owned point's
+    // accumulator bitwise, for `tfmcc_sim merge` to place into the grid.
+    state.save(out);
+    return report_missing_points(state, err) > 0 ? 1 : 0;
   }
-
-  if (per_point.empty()) {
-    // No point produced CSV; emit_sweep_aggregate diagnoses via the empty
-    // header, but needs the vector shaped to the grid.
-    per_point.assign(grid.size(), summary::ColumnSummary{{}});
-  }
-  const int rc =
-      emit_sweep_aggregate(manifest, grid, per_point, header, out, err,
-                           tolerated ? &point_failed : nullptr);
-  if (rc != 0) return rc;
-  return tolerated ? 1 : 0;
+  return emit_sweep_aggregate(state, out, err);
 }
 
 int sweep_main(int argc, char** argv, std::ostream& err) {
@@ -791,6 +759,14 @@ int sweep_main(int argc, char** argv, std::ostream& err) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     const bool has_value = i + 1 < argc;
+    auto need = [&] {
+      if (!has_value) err << "error: " << arg << " expects a value\n";
+      return has_value;
+    };
+    long lv = 0;
+    auto int_value = [&](long lo, long hi) {
+      return need() && parse_int_flag(arg, argv[i + 1], lo, hi, lv, err);
+    };
     if (arg == "--sweep") {
       if (!has_value) {
         err << "error: --sweep expects key=v1,v2,... or key=lo:hi:linN|logN\n";
@@ -807,24 +783,12 @@ int sweep_main(int argc, char** argv, std::ostream& err) {
       sweep.axes.push_back(std::move(axis));
       ++i;
     } else if (arg == "--jobs") {
-      char* end = nullptr;
-      const long jobs = has_value ? std::strtol(argv[i + 1], &end, 10) : 0;
-      if (!has_value || end == argv[i + 1] || *end != '\0' || jobs < 1 ||
-          jobs > 1024) {
-        err << "error: --jobs expects an integer between 1 and 1024\n";
-        return 2;
-      }
-      sweep.jobs = static_cast<int>(jobs);
+      if (!int_value(1, 1024)) return 2;
+      sweep.jobs = static_cast<int>(lv);
       ++i;
     } else if (arg == "--replicate") {
-      char* end = nullptr;
-      const long reps = has_value ? std::strtol(argv[i + 1], &end, 10) : 0;
-      if (!has_value || end == argv[i + 1] || *end != '\0' || reps < 1 ||
-          reps > 100'000) {
-        err << "error: --replicate expects an integer between 1 and 1e5\n";
-        return 2;
-      }
-      sweep.replicate = static_cast<int>(reps);
+      if (!int_value(1, 100'000)) return 2;
+      sweep.replicate = static_cast<int>(lv);
       ++i;
     } else if (arg == "--stats") {
       if (!has_value ||
@@ -838,34 +802,24 @@ int sweep_main(int argc, char** argv, std::ostream& err) {
       stats_given = true;
       ++i;
     } else if (arg == "--shard") {
-      // i/n: this invocation runs shard i of n and writes a partial
-      // artifact for `tfmcc_sim merge`.
-      bool ok = has_value;
-      if (ok) {
-        const std::string_view spec = argv[i + 1];
-        const std::size_t slash = spec.find('/');
-        ok = slash != std::string_view::npos;
-        if (ok) {
-          char* end = nullptr;
-          const std::string text{spec};
-          const long index = std::strtol(text.c_str(), &end, 10);
-          ok = end == text.c_str() + slash;
-          char* end2 = nullptr;
-          const long count =
-              ok ? std::strtol(text.c_str() + slash + 1, &end2, 10) : 0;
-          ok = ok && end2 == text.c_str() + text.size() && count >= 1 &&
-               count <= 10'000 && index >= 0 && index < count;
-          if (ok) {
-            sweep.shard_index = static_cast<int>(index);
-            sweep.shard_count = static_cast<int>(count);
-          }
-        }
-      }
-      if (!ok) {
-        err << "error: --shard expects i/n with 0 <= i < n <= 10000 "
-               "(e.g. --shard 0/3)\n";
+      // i/n: this invocation runs shard i of n and writes its sweep state
+      // for `tfmcc_sim merge`.
+      if (!need()) return 2;
+      const std::string spec = argv[i + 1];
+      const std::size_t slash = spec.find('/');
+      if (slash == std::string::npos) {
+        err << "error: --shard expects i/n (e.g. --shard 0/3)\n";
         return 2;
       }
+      long count = 0;
+      if (!parse_int_flag("--shard count", spec.c_str() + slash + 1, 1,
+                          10'000, count, err) ||
+          !parse_int_flag("--shard index", spec.substr(0, slash).c_str(), 0,
+                          count - 1, lv, err)) {
+        return 2;
+      }
+      sweep.shard_index = static_cast<int>(lv);
+      sweep.shard_count = static_cast<int>(count);
       ++i;
     } else if (arg == "--checkpoint") {
       if (!has_value) {
@@ -875,15 +829,8 @@ int sweep_main(int argc, char** argv, std::ostream& err) {
       sweep.checkpoint_path = argv[i + 1];
       ++i;
     } else if (arg == "--checkpoint-every") {
-      char* end = nullptr;
-      const long every = has_value ? std::strtol(argv[i + 1], &end, 10) : 0;
-      if (!has_value || end == argv[i + 1] || *end != '\0' || every < 1 ||
-          every > 1'000'000) {
-        err << "error: --checkpoint-every expects an integer between 1 "
-               "and 1e6\n";
-        return 2;
-      }
-      sweep.checkpoint_every = static_cast<int>(every);
+      if (!int_value(1, 1'000'000)) return 2;
+      sweep.checkpoint_every = static_cast<int>(lv);
       ++i;
     } else if (arg == "--resume") {
       if (!has_value) {
@@ -893,15 +840,8 @@ int sweep_main(int argc, char** argv, std::ostream& err) {
       sweep.resume_path = argv[i + 1];
       ++i;
     } else if (arg == "--max-point-failures") {
-      char* end = nullptr;
-      const long cap = has_value ? std::strtol(argv[i + 1], &end, 10) : -1;
-      if (!has_value || end == argv[i + 1] || *end != '\0' || cap < 0 ||
-          cap > 1'000'000) {
-        err << "error: --max-point-failures expects an integer between 0 "
-               "and 1e6\n";
-        return 2;
-      }
-      sweep.max_point_failures = static_cast<int>(cap);
+      if (!int_value(0, 1'000'000)) return 2;
+      sweep.max_point_failures = static_cast<int>(lv);
       ++i;
     } else if (arg == "--progress") {
       sweep.progress = true;

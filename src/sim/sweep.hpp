@@ -103,9 +103,10 @@ struct SweepOptions {
   /// Force the progress/ETA line even when stderr is not a TTY.
   bool progress{false};
   /// `--shard i/n`: run only the grid points this shard owns (point index
-  /// mod shard_count == shard_index) and write a partial-aggregate
-  /// artifact instead of CSV; `tfmcc_sim merge` folds the n partials into
-  /// the byte-identical unsharded aggregate.  shard_count 1 = unsharded.
+  /// mod shard_count == shard_index) and write the final sweep state (the
+  /// checkpoint format, every owned task folded) instead of CSV;
+  /// `tfmcc_sim merge` folds the n states into the byte-identical unsharded
+  /// aggregate.  shard_count 1 = unsharded.
   int shard_index{0};
   int shard_count{1};
   /// `--checkpoint <path>`: periodically persist the fold state (atomic
@@ -130,11 +131,12 @@ struct SweepOptions {
 /// Expands the grid, validates every point against the scenario's declared
 /// parameters, runs all points on `jobs` worker threads, and writes the
 /// aggregated CSV — the swept keys prepended as columns, rows in grid
-/// order — to `out`.  Returns 0 on success; nonzero after a diagnostic on
-/// `err` when validation fails, a point exits nonzero (beyond
-/// `max_point_failures`), the per-point traces cannot be merged (no CSV,
-/// or mismatched headers), or the run was interrupted (see
-/// request_sweep_interrupt).
+/// order — to `out` (a shard writes its final sweep state instead).
+/// Returns 0 for a complete result; nonzero after a diagnostic on `err`
+/// when validation fails, a point exits nonzero (within
+/// `max_point_failures` the failed points are named and left out, exit 1),
+/// the per-point traces cannot be merged (no CSV, or mismatched headers),
+/// or the run was interrupted (see request_sweep_interrupt).
 int run_sweep(const Scenario& scenario, const SweepOptions& sweep,
               std::ostream& out, std::ostream& err);
 

@@ -19,11 +19,14 @@ namespace tfmcc {
 
 namespace {
 
-constexpr std::string_view kCheckpointMagic = "TFMCC-SWEEP-CKPT";
-constexpr std::string_view kPartialMagic = "TFMCC-SWEEP-PART";
-// Version 2 added the checkpoint progress header (heartbeat + folded/owned
-// counts) the campaign supervisor polls for liveness.
-constexpr int kFormatVersion = 2;
+constexpr std::string_view kMagic = "TFMCC-SWEEP-CKPT";
+// Version 2 added the progress header (heartbeat + folded/owned counts) the
+// campaign supervisor polls for liveness; version 3 the failed-point list.
+// Version 2 files still load: they were only ever written before any point
+// failed, so their failed list is empty.
+constexpr int kFormatVersion = 3;
+constexpr int kOldestReadableVersion = 2;
+constexpr int kManifestVersion = 2;
 
 std::string stats_spelling(const std::vector<summary::Stat>& stats) {
   std::string s;
@@ -99,6 +102,28 @@ std::uint64_t count_set(const std::vector<char>& bits) {
   return n;
 }
 
+/// Reads the magic, format version and progress header every state file
+/// opens with.  Returns false with a diagnostic in `err`.
+bool read_preamble(std::istream& is, int& version, CheckpointProgress& p,
+                   std::string& err) {
+  std::string magic;
+  if (!(is >> magic) || magic != kMagic) {
+    err = "not a sweep checkpoint (bad magic)";
+    return false;
+  }
+  if (!(is >> version) || version < kOldestReadableVersion ||
+      version > kFormatVersion) {
+    err = "unsupported sweep state version";
+    return false;
+  }
+  if (!expect_token(is, "progress") || !(is >> p.heartbeat) ||
+      !(is >> p.folded_tasks) || !(is >> p.owned_tasks)) {
+    err = "truncated or malformed checkpoint progress header";
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 SweepManifest SweepManifest::from(const Scenario& scenario,
@@ -125,7 +150,7 @@ std::size_t SweepManifest::n_points() const {
 }
 
 void SweepManifest::save(std::ostream& os) const {
-  os << "manifest " << kFormatVersion << '\n';
+  os << "manifest " << kManifestVersion << '\n';
   os << "scenario ";
   summary::write_str(os, scenario);
   os << "\nduration ";
@@ -164,7 +189,7 @@ bool SweepManifest::load(std::istream& is, SweepManifest& out,
   err = "truncated or malformed manifest";
   int version = 0;
   if (!expect_token(is, "manifest") || !(is >> version) ||
-      version != kFormatVersion) {
+      version != kManifestVersion) {
     err = "unsupported manifest version";
     return false;
   }
@@ -305,21 +330,17 @@ bool shard_owns_point(const SweepManifest& m, std::size_t point) {
 }
 
 void SweepStateFile::save(std::ostream& os) const {
-  os << (kind == Kind::kCheckpoint ? kCheckpointMagic : kPartialMagic) << ' '
-     << kFormatVersion << '\n';
-  if (kind == Kind::kCheckpoint) {
-    // Line 2, before the manifest: the poll-cheap liveness header.
-    os << "progress " << heartbeat << ' ' << count_set(folded) << ' '
-       << owned_task_count(manifest) << '\n';
-  }
+  os << kMagic << ' ' << kFormatVersion << '\n';
+  // Line 2, before the manifest: the poll-cheap liveness header.
+  os << "progress " << heartbeat << ' ' << count_set(folded) << ' '
+     << owned_task_count(manifest) << '\n';
   manifest.save(os);
   os << "header ";
   summary::write_str(os, header);
-  os << '\n';
-  if (kind == Kind::kCheckpoint) {
-    os << "folded " << folded.size() << ' ' << encode_bitmap(folded) << '\n';
-  }
-  os << "points " << points.size() << '\n';
+  os << "\nfolded " << folded.size() << ' ' << encode_bitmap(folded)
+     << "\nfailed " << failed.size();
+  for (std::size_t p : failed) os << ' ' << p;
+  os << "\npoints " << points.size() << '\n';
   for (const auto& [idx, state] : points) {
     os << "point " << idx << '\n';
     state.save(os);
@@ -330,89 +351,87 @@ void SweepStateFile::save(std::ostream& os) const {
 bool SweepStateFile::load(std::istream& is, SweepStateFile& out,
                           std::string& err) {
   out = SweepStateFile{};
-  err = "truncated or malformed sweep state";
-  std::string magic;
   int version = 0;
-  if (!(is >> magic) || !(is >> version)) return false;
-  if (magic == kCheckpointMagic) {
-    out.kind = Kind::kCheckpoint;
-  } else if (magic == kPartialMagic) {
-    out.kind = Kind::kPartial;
-  } else {
-    err = "not a sweep checkpoint or partial (bad magic)";
-    return false;
-  }
-  if (version != kFormatVersion) {
-    err = "unsupported sweep state version";
-    return false;
-  }
-  std::uint64_t claimed_folded = 0;
-  std::uint64_t claimed_owned = 0;
-  if (out.kind == Kind::kCheckpoint) {
-    if (!expect_token(is, "progress") || !(is >> out.heartbeat) ||
-        !(is >> claimed_folded) || !(is >> claimed_owned)) {
-      err = "truncated or malformed checkpoint progress header";
-      return false;
-    }
-  }
+  CheckpointProgress claimed;
+  if (!read_preamble(is, version, claimed, err)) return false;
+  out.heartbeat = claimed.heartbeat;
   if (!SweepManifest::load(is, out.manifest, err)) return false;
   err = "truncated or malformed sweep state";
   if (!expect_token(is, "header") || !summary::read_str(is, out.header)) {
     return false;
   }
   const std::size_t n_tasks = out.manifest.n_tasks();
-  if (out.kind == Kind::kCheckpoint) {
-    std::size_t n = 0;
-    std::string bitmap;
-    if (!expect_token(is, "folded") || !(is >> n) || n != n_tasks ||
-        !(is >> bitmap) || !decode_bitmap(bitmap, n, out.folded)) {
-      return false;
-    }
-    // The progress header is derived state; a disagreement with the bitmap
-    // or manifest marks a hand-edited or corrupt file.
-    if (claimed_folded != count_set(out.folded) ||
-        claimed_owned != owned_task_count(out.manifest)) {
-      err = "checkpoint progress header disagrees with the folded bitmap";
-      return false;
-    }
-    // The fold is strictly in task order over the shard's owned tasks, so
-    // the bitmap must be a prefix of that sequence: a set bit after a
-    // cleared owned bit (or any bit on an unowned task) marks corruption.
-    bool gap = false;
-    for (std::size_t t = 0; t < n_tasks; ++t) {
-      const std::size_t point =
-          t / static_cast<std::size_t>(out.manifest.replicate);
-      if (!shard_owns_point(out.manifest, point)) {
-        if (out.folded[t] != 0) {
-          err = "checkpoint marks a task its shard does not own";
-          return false;
-        }
-        continue;
-      }
-      if (out.folded[t] != 0 && gap) {
-        err = "checkpoint bitmap is not a prefix of the fold order";
+  const std::size_t n_points = out.manifest.n_points();
+  std::size_t n = 0;
+  std::string bitmap;
+  if (!expect_token(is, "folded") || !(is >> n) || n != n_tasks ||
+      !(is >> bitmap) || !decode_bitmap(bitmap, n, out.folded)) {
+    return false;
+  }
+  // The progress header is derived state; a disagreement with the bitmap
+  // or manifest marks a hand-edited or corrupt file.
+  if (claimed.folded_tasks != count_set(out.folded) ||
+      claimed.owned_tasks != owned_task_count(out.manifest)) {
+    err = "checkpoint progress header disagrees with the folded bitmap";
+    return false;
+  }
+  // The fold is strictly in task order over the shard's owned tasks, so
+  // the bitmap must be a prefix of that sequence: a set bit after a
+  // cleared owned bit (or any bit on an unowned task) marks corruption.
+  bool gap = false;
+  for (std::size_t t = 0; t < n_tasks; ++t) {
+    const std::size_t point =
+        t / static_cast<std::size_t>(out.manifest.replicate);
+    if (!shard_owns_point(out.manifest, point)) {
+      if (out.folded[t] != 0) {
+        err = "checkpoint marks a task its shard does not own";
         return false;
       }
-      if (out.folded[t] == 0) gap = true;
+      continue;
     }
+    if (out.folded[t] != 0 && gap) {
+      err = "checkpoint bitmap is not a prefix of the fold order";
+      return false;
+    }
+    if (out.folded[t] == 0) gap = true;
+  }
+  // Every point index — failed or with state — appears at most once and
+  // belongs to the file's shard.
+  std::set<std::size_t> seen;
+  auto valid_point = [&](std::size_t idx) {
+    return idx < n_points && shard_owns_point(out.manifest, idx) &&
+           seen.insert(idx).second;
+  };
+  std::size_t n_failed = 0;
+  if (version >= 3 &&
+      (!expect_token(is, "failed") || !(is >> n_failed) ||
+       n_failed > n_points)) {
+    return false;
+  }
+  for (std::size_t i = 0; i < n_failed; ++i) {
+    std::size_t idx = 0;
+    if (!(is >> idx) || !valid_point(idx)) return false;
+    out.failed.push_back(idx);
   }
   std::size_t n_states = 0;
   if (!expect_token(is, "points") || !(is >> n_states) ||
-      n_states > out.manifest.n_points()) {
+      n_states > n_points) {
     return false;
   }
-  std::set<std::size_t> seen;
+  const std::vector<std::string> columns = summary::split_csv(out.header);
   for (std::size_t i = 0; i < n_states; ++i) {
     std::size_t idx = 0;
-    if (!expect_token(is, "point") || !(is >> idx) ||
-        idx >= out.manifest.n_points() ||
-        !shard_owns_point(out.manifest, idx) || !seen.insert(idx).second) {
+    if (!expect_token(is, "point") || !(is >> idx) || !valid_point(idx)) {
       return false;
     }
     summary::ColumnSummary state{{}};
     std::string state_err;
     if (!summary::ColumnSummary::load(is, state, state_err)) {
       err = state_err;
+      return false;
+    }
+    if (out.header.empty() || state.columns() != columns) {
+      err = "point state disagrees with the recorded CSV header";
       return false;
     }
     out.points.emplace_back(idx, std::move(state));
@@ -494,19 +513,9 @@ bool read_checkpoint_progress(const std::string& path, CheckpointProgress& out,
     err = "cannot open '" + path + "'";
     return false;
   }
-  std::string magic;
   int version = 0;
-  if (!(is >> magic) || magic != kCheckpointMagic) {
-    err = "'" + path + "' is not a sweep checkpoint";
-    return false;
-  }
-  if (!(is >> version) || version != kFormatVersion) {
-    err = "'" + path + "' has an unsupported checkpoint version";
-    return false;
-  }
-  if (!expect_token(is, "progress") || !(is >> out.heartbeat) ||
-      !(is >> out.folded_tasks) || !(is >> out.owned_tasks)) {
-    err = "'" + path + "' has a malformed progress header";
+  if (!read_preamble(is, version, out, err)) {
+    err = "'" + path + "': " + err;
     return false;
   }
   err.clear();
@@ -528,53 +537,104 @@ bool load_state_file(const std::string& path, SweepStateFile& out,
   return true;
 }
 
-int emit_sweep_aggregate(const SweepManifest& manifest,
-                         const std::vector<std::vector<std::string>>& grid,
-                         const std::vector<summary::ColumnSummary>& per_point,
-                         const std::string& header, std::ostream& out,
-                         std::ostream& err,
-                         const std::vector<char>* skip_points) {
-  if (header.empty()) {
+namespace {
+
+enum PointStatus : char { kComplete, kUnfinished, kFailed };
+
+/// The missing-point rule, parallel to the grid: a point the state's shard
+/// owns is complete only when every one of its tasks is folded and it did
+/// not fail.  Unowned points are reported complete — they are simply not
+/// this state's to hold.
+std::vector<PointStatus> point_status(const SweepStateFile& state) {
+  const SweepManifest& m = state.manifest;
+  const std::size_t rep = static_cast<std::size_t>(m.replicate);
+  std::vector<PointStatus> status(m.n_points(), kComplete);
+  for (std::size_t p = 0; p < status.size(); ++p) {
+    if (!shard_owns_point(m, p)) continue;
+    for (std::size_t t = p * rep; t < (p + 1) * rep; ++t) {
+      if (state.folded[t] == 0) status[p] = kUnfinished;
+    }
+  }
+  for (std::size_t p : state.failed) status[p] = kFailed;
+  return status;
+}
+
+}  // namespace
+
+std::size_t report_missing_points(const SweepStateFile& state,
+                                  std::ostream& err) {
+  const std::vector<PointStatus> status = point_status(state);
+  std::size_t owned = 0, failed = 0, unfinished = 0;
+  for (std::size_t p = 0; p < status.size(); ++p) {
+    owned += shard_owns_point(state.manifest, p);
+    failed += status[p] == kFailed;
+    unfinished += status[p] == kUnfinished;
+  }
+  if (failed + unfinished == 0) return 0;
+  // Named one per line, so a degraded table can never be mistaken for a
+  // complete one.
+  const auto grid = expand_grid(state.manifest.axes);
+  err << "sweep: " << failed + unfinished << " of " << owned
+      << " grid point(s) (" << failed << " failed, " << unfinished
+      << " unfinished) missing from the aggregate:\n";
+  for (std::size_t p = 0; p < status.size(); ++p) {
+    if (status[p] != kComplete) {
+      err << "  " << point_label(state.manifest.axes, grid[p]) << '\n';
+    }
+  }
+  return failed + unfinished;
+}
+
+int emit_sweep_aggregate(const SweepStateFile& state, std::ostream& out,
+                         std::ostream& err) {
+  const std::size_t n_missing = report_missing_points(state, err);
+  if (state.header.empty()) {
     err << "error: no CSV trace found in any sweep point's output\n";
     return 1;
   }
+  const SweepManifest& manifest = state.manifest;
   const std::vector<SweepAxis>& axes = manifest.axes;
-  auto skipped = [&](std::size_t i) {
-    return skip_points != nullptr && (*skip_points)[i] != 0;
-  };
+  const auto grid = expand_grid(axes);
+  const std::vector<PointStatus> status = point_status(state);
+  // Points without state (rowless, missing or unowned) emit nothing.
+  std::vector<const summary::ColumnSummary*> per_point(grid.size(), nullptr);
+  for (const auto& [idx, acc] : state.points) {
+    if (status[idx] == kComplete && acc.row_count() > 0) {
+      per_point[idx] = &acc;
+    }
+  }
+  const int rc = n_missing > 0 ? 1 : 0;
 
   if (manifest.replicate == 1) {
     // Raw aggregate: every point's rows verbatim, in grid order, with the
     // swept values prepended.
     for (const auto& axis : axes) out << axis.key << ',';
-    out << header << '\n';
+    out << state.header << '\n';
     for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (skipped(i)) continue;
-      for (const auto& row : per_point[i].rows()) {
+      if (per_point[i] == nullptr) continue;
+      for (const auto& row : per_point[i]->rows()) {
         for (const auto& value : grid[i]) out << value << ',';
         out << join_cells(row) << '\n';
       }
     }
-    return 0;
+    return rc;
   }
 
   // Replicated aggregate: one statistics row per point and label group.
-  // The reference header comes from the first point that produced rows;
-  // rowless (and skipped) points emit nothing and are exempt from the
-  // comparison.
-  const summary::ColumnSummary* reference = nullptr;
-  for (std::size_t i = 0; i < grid.size(); ++i) {
-    if (!skipped(i) && per_point[i].row_count() > 0) {
-      reference = &per_point[i];
+  // The reference header comes from the first point that produced rows.
+  const summary::ColumnSummary no_rows{summary::split_csv(state.header)};
+  const summary::ColumnSummary* reference = &no_rows;
+  for (const summary::ColumnSummary* acc : per_point) {
+    if (acc != nullptr) {
+      reference = acc;
       break;
     }
   }
-  if (reference == nullptr) reference = &per_point.front();
   const std::vector<std::string> expanded =
       reference->header(manifest.stats);
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    if (!skipped(i) && per_point[i].row_count() > 0 &&
-        per_point[i].numeric_mask() != reference->numeric_mask()) {
+    if (per_point[i] != nullptr &&
+        per_point[i]->numeric_mask() != reference->numeric_mask()) {
       err << "error: sweep point " << point_label(axes, grid[i])
           << " has a different numeric/label column mix than earlier "
              "points; cannot aggregate\n";
@@ -586,14 +646,14 @@ int emit_sweep_aggregate(const SweepManifest& manifest,
   for (const auto& name : expanded) out << name << ',';
   out << "n_rep\n";
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    if (skipped(i)) continue;
-    for (const auto& srow : per_point[i].summarize(manifest.stats)) {
+    if (per_point[i] == nullptr) continue;
+    for (const auto& srow : per_point[i]->summarize(manifest.stats)) {
       for (const auto& value : grid[i]) out << value << ',';
       for (const auto& cell : srow) out << cell << ',';
       out << manifest.replicate << '\n';
     }
   }
-  return 0;
+  return rc;
 }
 
 int merge_main(int argc, char** argv, std::ostream& err) {
@@ -616,34 +676,28 @@ int merge_main(int argc, char** argv, std::ostream& err) {
     }
   }
   if (part_paths.empty()) {
-    err << "usage: tfmcc_sim merge [--output <path>] <partial>...\n"
-           "Folds the partial-aggregate artifacts written by "
-           "`sweep --shard i/n` — all n of them, each exactly once — into "
-           "the aggregate CSV the unsharded sweep would have written.\n";
+    err << "usage: tfmcc_sim merge [--output <path>] <state>...\n"
+           "Folds the states written by `sweep --shard i/n` (--output or "
+           "--checkpoint) — all n of them, each exactly once — into the "
+           "aggregate CSV the unsharded sweep would have written.\n";
     return 2;
   }
 
   std::vector<SweepStateFile> parts(part_paths.size());
   for (std::size_t i = 0; i < part_paths.size(); ++i) {
     if (!load_state_file(part_paths[i], parts[i], err)) return 2;
-    if (parts[i].kind != SweepStateFile::Kind::kPartial) {
-      err << "error: '" << part_paths[i]
-          << "' is a sweep checkpoint, not a shard partial (resume it with "
-             "`sweep ... --resume` instead)\n";
-      return 2;
-    }
   }
   const SweepManifest& ref = parts.front().manifest;
   if (parts.size() != static_cast<std::size_t>(ref.shard_count)) {
     err << "error: sweep was sharded " << ref.shard_count << " ways but "
-        << parts.size() << " partial(s) were given\n";
+        << parts.size() << " state file(s) were given\n";
     return 2;
   }
   std::set<int> shards_seen;
-  std::string header;
+  SweepStateFile merged;
   for (std::size_t i = 0; i < parts.size(); ++i) {
     if (!parts[i].manifest.matches(ref, /*ignore_shard_index=*/true,
-                                   "partial '" + part_paths[i] + "'", err)) {
+                                   "'" + part_paths[i] + "'", err)) {
       return 2;
     }
     if (!shards_seen.insert(parts[i].manifest.shard_index).second) {
@@ -652,37 +706,31 @@ int merge_main(int argc, char** argv, std::ostream& err) {
       return 2;
     }
     if (!parts[i].header.empty()) {
-      if (header.empty()) {
-        header = parts[i].header;
-      } else if (parts[i].header != header) {
-        err << "error: partial '" << part_paths[i]
-            << "' recorded CSV header '" << parts[i].header
-            << "' but earlier partials recorded '" << header << "'\n";
+      if (merged.header.empty()) {
+        merged.header = parts[i].header;
+      } else if (parts[i].header != merged.header) {
+        err << "error: '" << part_paths[i] << "' recorded CSV header '"
+            << parts[i].header << "' but earlier states recorded '"
+            << merged.header << "'\n";
         return 2;
       }
     }
   }
 
-  const auto grid = expand_grid(ref.axes);
-  const std::vector<std::string> columns = summary::split_csv(header);
-  std::vector<summary::ColumnSummary> per_point(
-      grid.size(), summary::ColumnSummary{columns});
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    for (auto& [idx, state] : parts[i].points) {
-      if (idx >= grid.size()) {
-        err << "error: partial '" << part_paths[i]
-            << "' has state for point " << idx << " outside the grid\n";
-        return 2;
-      }
-      if (state.columns() != columns) {
-        err << "error: partial '" << part_paths[i]
-            << "' point state disagrees with the recorded CSV header\n";
-        return 2;
-      }
-      // Each point has exactly one owner (validated at load), so this move
-      // installs the accumulator bitwise as the owning shard folded it.
-      per_point[idx] = std::move(state);
+  merged.manifest = ref;
+  merged.manifest.shard_index = 0;
+  merged.manifest.shard_count = 1;
+  merged.folded.assign(ref.n_tasks(), 0);
+  for (SweepStateFile& part : parts) {
+    // Each task and point has exactly one owner and every point state
+    // matches its file's header (validated at load), so the union installs
+    // every accumulator bitwise as its shard folded it.
+    for (std::size_t t = 0; t < merged.folded.size(); ++t) {
+      merged.folded[t] |= part.folded[t];
     }
+    merged.failed.insert(merged.failed.end(), part.failed.begin(),
+                         part.failed.end());
+    for (auto& point : part.points) merged.points.push_back(std::move(point));
   }
 
   std::ofstream file;
@@ -691,11 +739,7 @@ int merge_main(int argc, char** argv, std::ostream& err) {
     if (!open_output_file(*output_path, file, err)) return 2;
     out = &file;
   }
-  SweepManifest unsharded = ref;
-  unsharded.shard_index = 0;
-  unsharded.shard_count = 1;
-  const int rc = emit_sweep_aggregate(unsharded, grid, per_point, header,
-                                      *out, err);
+  const int rc = emit_sweep_aggregate(merged, *out, err);
   if (file.is_open() && !finish_output_file(*output_path, file, err)) {
     return 2;
   }

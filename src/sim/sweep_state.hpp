@@ -1,7 +1,7 @@
 #pragma once
 
 // Campaign-scale sweep plumbing: sharding, checkpoint/resume, and the
-// partial-aggregate artifacts `tfmcc_sim merge` folds back together.
+// sweep-state files `tfmcc_sim merge` folds back together.
 //
 // The determinism contract extends the existing `--jobs N == --jobs 1`
 // byte-identity guarantee in two directions:
@@ -10,27 +10,31 @@
 //     p % n == i (all of a point's replicates stay together).  Each
 //     point's accumulator sees exactly the rows, in exactly the order, the
 //     unsharded sweep would feed it — which other points run alongside it
-//     changes nothing — so a shard's partial state for its points is
+//     changes nothing — so a shard's state for its points is
 //     bitwise-identical to the unsharded sweep's, and `merge` only ever
 //     places each point's state from its unique owner.  Merged output is
 //     therefore byte-identical (`cmp`) to the unsharded aggregate, and
-//     merging partials is exactly associative.
+//     merging is exactly associative.
 //
 //   * Resume.  Tasks fold into the accumulators strictly in task order, so
-//     a checkpoint is always a *prefix* of the fold sequence: the folded
+//     a state file is always a *prefix* of the fold sequence: the folded
 //     bitmap plus each touched point's serialized accumulator.  A resumed
 //     sweep re-runs only the unfolded suffix and continues folding in the
 //     same order, making its output byte-identical to an uninterrupted run.
 //
-// Both file kinds open with a manifest — scenario, axes, replicate count,
-// stats, base overrides, shard — and a resume or merge that does not match
-// the invoking sweep is refused with a diagnostic rather than silently
-// blended.  Row data inside the files uses the length-prefixed accumulator
-// serialization (analysis/summary), not CSV: nothing is re-parsed on load.
-// Checkpoints additionally open with a two-line progress header (heartbeat
-// save counter, folded/owned task counts) that a campaign supervisor can
-// poll for liveness without loading the accumulators; see
-// read_checkpoint_progress and sim/campaign.hpp.
+// Checkpoints, a shard's final `--output` (its last checkpoint, every
+// owned task folded) and the files `--resume` and `merge` read share one
+// format.  It opens with a two-line progress header (heartbeat, folded and
+// owned task counts) a campaign supervisor polls without loading any
+// accumulator (read_checkpoint_progress), then a manifest — scenario,
+// axes, replicate count, stats, base overrides, shard — so a resume or
+// merge that does not match is refused rather than silently blended.  Row
+// data uses the accumulator serialization (analysis/summary), not CSV.
+//
+// One missing-point rule decides what an aggregate may claim: a point
+// whose replicate set the state does not hold completely — it has
+// unfolded tasks, or it failed under --max-point-failures — is left out of
+// the CSV, named on stderr, and makes the exit code 1.
 
 #include <cstddef>
 #include <cstdint>
@@ -72,8 +76,8 @@ struct SweepManifest {
 
   /// True when `other` describes the same sweep.  Otherwise writes a
   /// diagnostic naming the first differing field, prefixed with `what`
-  /// ("checkpoint" / "partial").  `ignore_shard_index` is set when merging
-  /// partials, which differ in shard index by construction.
+  /// ("checkpoint '<path>'").  `ignore_shard_index` is set when merging
+  /// shard states, which differ in shard index by construction.
   bool matches(const SweepManifest& other, bool ignore_shard_index,
                std::string_view what, std::ostream& err) const;
 };
@@ -83,23 +87,25 @@ struct SweepManifest {
 /// across shards instead of handing one shard the whole expensive tail.
 bool shard_owns_point(const SweepManifest& m, std::size_t point);
 
-/// On-disk state shared by checkpoints and shard partials: the manifest,
-/// the CSV header once one was seen, per-point accumulator states, and —
-/// for checkpoints — the completed-task bitmap.
+/// One sweep's fold state, in memory and on disk: the manifest, the CSV
+/// header once one was seen, the completed-task bitmap, the failed points,
+/// and per-point accumulator states.
 struct SweepStateFile {
-  enum class Kind { kCheckpoint, kPartial };
-  Kind kind{Kind::kCheckpoint};
   SweepManifest manifest;
   std::string header;
-  /// Checkpoints only: monotone save counter.  Incremented by the sweep on
-  /// every checkpoint write (and restored across --resume), it is the
-  /// heartbeat a campaign supervisor polls — see read_checkpoint_progress.
+  /// Monotone save counter.  Incremented by the sweep on every checkpoint
+  /// write (and restored across --resume), it is the heartbeat a campaign
+  /// supervisor polls — see read_checkpoint_progress.
   std::uint64_t heartbeat{0};
-  /// Checkpoints only: folded[t] != 0 when global task t's output has been
-  /// folded.  Always a prefix of the shard's task order (ascending global
-  /// index over owned tasks); load() enforces that invariant.
+  /// folded[t] != 0 when global task t's output has been folded.  Always a
+  /// prefix of the shard's task order (ascending global index over owned
+  /// tasks); load() enforces that invariant.
   std::vector<char> folded;
-  /// (global point index, accumulator) for every point with state.
+  /// Grid points that failed under --max-point-failures.  Their tasks
+  /// count as folded but they have no accumulator state: a failed point is
+  /// told apart from one that succeeded without emitting rows.
+  std::vector<std::size_t> failed;
+  /// (global point index, accumulator) for every point with rows.
   std::vector<std::pair<std::size_t, summary::ColumnSummary>> points;
 
   void save(std::ostream& os) const;
@@ -139,25 +145,26 @@ bool save_state_file_atomic(const SweepStateFile& state,
 bool load_state_file(const std::string& path, SweepStateFile& out,
                      std::ostream& err);
 
-/// Writes the final aggregate CSV from fully-folded per-point state: raw
-/// rows in grid order when replicate == 1, summary-statistics rows
-/// otherwise.  Both the unsharded sweep and `merge` end in this one code
-/// path — which is what makes shard+merge byte-identical to the unsharded
-/// run.  `per_point` is parallel to the expanded grid; `header` is the
-/// shared CSV header ("" means no point produced CSV, an error).
-/// `skip_points`, when non-null, is parallel to the grid and suppresses the
-/// marked points entirely — the degraded `--max-point-failures` path emits
-/// the surviving grid this way.
-int emit_sweep_aggregate(const SweepManifest& manifest,
-                         const std::vector<std::vector<std::string>>& grid,
-                         const std::vector<summary::ColumnSummary>& per_point,
-                         const std::string& header, std::ostream& out,
-                         std::ostream& err,
-                         const std::vector<char>* skip_points = nullptr);
+/// Writes the aggregate CSV of `state`: raw rows in grid order when
+/// replicate == 1, summary-statistics rows otherwise.  The unsharded sweep,
+/// `--resume` and `merge` all end in this one code path — which is what
+/// makes shard+merge byte-identical to the unsharded run.  Missing points
+/// (see report_missing_points) are left out and make the result 1; so do
+/// an all-rowless state and points that cannot be aggregated, after a
+/// diagnostic.  0 means a complete table.
+int emit_sweep_aggregate(const SweepStateFile& state, std::ostream& out,
+                         std::ostream& err);
 
-/// CLI entry for `tfmcc_sim merge [--output <path>] <partial>...`: loads
-/// the shard partials, refuses mismatched or incomplete shard sets, and
-/// emits the combined aggregate CSV.  Returns the process exit code.
+/// The missing-point rule: names on `err` every point `state`'s shard owns
+/// that has an unfolded task or failed, and returns how many there are;
+/// prints nothing when the state is complete.
+std::size_t report_missing_points(const SweepStateFile& state,
+                                  std::ostream& err);
+
+/// CLI entry for `tfmcc_sim merge [--output <path>] <state>...`: loads one
+/// state file per shard (final outputs or checkpoints), refuses mismatched
+/// or incomplete shard sets, and emits the combined aggregate CSV under the
+/// missing-point rule.  Returns the process exit code.
 int merge_main(int argc, char** argv, std::ostream& err);
 
 }  // namespace tfmcc

@@ -10,10 +10,10 @@
 // cells as string_views without ever re-scanning for newlines or commas.
 //
 // The same structure has a length-prefixed binary encoding (u32 cell
-// lengths, no separators, no escaping rules) used wherever a trace crosses
-// a file boundary — shard partial artifacts and sweep checkpoints — so
-// resuming or merging never pays CSV re-parsing.  CSV stays the *external*
-// format: the final aggregate a sweep writes is unchanged.
+// lengths, no separators, no escaping rules) for carrying a trace across a
+// process or file boundary.  The sweep itself never encodes: traces stay
+// parsed in memory from worker to fold, and sweep state files persist the
+// per-point accumulators (analysis/summary's serialization) instead.
 //
 // Cells never contain ',' or '\n' (they are produced by splitting on those
 // characters), so joining a row's cells with ',' reproduces the original

@@ -26,6 +26,7 @@
 
 #include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
+#include "sim/sweep_state.hpp"
 #include "util/csv.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -222,6 +223,36 @@ TEST(Campaign, RetryExhaustionNamesMissingPointsAndPreservesPartials) {
   // merged aggregate is written that could pass for a complete one.
   EXPECT_TRUE(exists(dir + "/shard-0.part"));
   EXPECT_FALSE(exists(merged));
+}
+
+TEST(Campaign, ManualMergeAfterExhaustionNamesTheUnfinishedPoints) {
+  const std::string dir = fresh_dir("exhaust_merge");
+  std::string err;
+  // Shard 1 owns x=2 and x=4: x=2 folds and checkpoints, x=4 fails on
+  // every attempt, so the shard leaves a checkpoint but no output.
+  const int rc = run_campaign_cli(
+      {"test_campaign_probe", "--sweep", "x=1,2,3,4", "--shards", "2",
+       "--dir", dir, "--stall-timeout", "30", "--poll-interval", "0.05",
+       "--backoff-base", "0.02", "--backoff-max", "0.05", "--max-retries",
+       "1", "--set", "fail_if_x=4"},
+      &err);
+  ASSERT_EQ(rc, 2) << err;
+  ASSERT_TRUE(exists(dir + "/shard-1.ckpt")) << err;
+  // Merging the survivor with the failed shard's checkpoint yields the
+  // degraded table: the unfinished point is left out and named, exit 1.
+  const std::string out = dir + "/degraded.csv";
+  std::vector<std::string> args{"--output", out, dir + "/shard-0.part",
+                                dir + "/shard-1.ckpt"};
+  std::vector<char*> argv;
+  for (auto& a : args) argv.push_back(a.data());
+  std::ostringstream merge_err;
+  EXPECT_EQ(merge_main(static_cast<int>(argv.size()), argv.data(), merge_err),
+            1);
+  EXPECT_NE(merge_err.str().find("missing from the aggregate:\n  x=4\n"),
+            std::string::npos)
+      << merge_err.str();
+  const std::string full = reference_sweep({"1", "2", "3", "4"});
+  EXPECT_EQ(slurp(out), full.substr(0, full.rfind('\n', full.size() - 2) + 1));
 }
 
 #endif  // defined(__unix__) || defined(__APPLE__)

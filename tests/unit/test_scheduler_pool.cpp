@@ -3,48 +3,28 @@
 // in-place cancellation, the small-buffer EventCallback, and the
 // zero-heap-allocation steady state of schedule_in + step and of the
 // per-simulator packet pool.  The allocation tests count through a global
-// operator new override, which is why this suite lives in its own binary.
+// operator new override (support/counting_allocator.cpp), which is why this
+// suite lives in its own binary.
 
 #include "sim/scheduler.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "sim/simulator.hpp"
+#include "support/counting_allocator.hpp"
 
 namespace {
 
-// --- counting global allocator ---------------------------------------------
-
-// Not atomic: the suite is single-threaded and gtest does not allocate
-// concurrently with the measured regions.
-std::size_t g_allocations = 0;
-
 struct AllocationCounter {
   std::size_t start;
-  AllocationCounter() : start{g_allocations} {}
-  std::size_t delta() const { return g_allocations - start; }
+  AllocationCounter() : start{tfmcc::test::allocation_count()} {}
+  std::size_t delta() const { return tfmcc::test::allocation_count() - start; }
 };
 
 }  // namespace
-
-void* operator new(std::size_t size) {
-  ++g_allocations;
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc{};
-  return p;
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace tfmcc {
 namespace {

@@ -1,10 +1,11 @@
 // Unit tests for the sweep scale-out plumbing (sim/sweep_state.hpp):
-// manifest round trip and mismatch diagnostics, checkpoint/partial file
-// round trip with the folded-bitmap prefix invariant, checkpoint/resume
-// edge cases (corrupt and truncated files, grid mismatch, checkpoints
-// covering only the first task and all-but-the-last task), shard ownership
-// and out-of-range indices, and library-level shard+merge byte-identity
-// against the unsharded aggregate.
+// manifest round trip and mismatch diagnostics, state-file round trip with
+// the folded-bitmap prefix invariant, checkpoint/resume edge cases (corrupt
+// and truncated files, grid mismatch, checkpoints covering only the first
+// task and all-but-the-last task), shard ownership and out-of-range
+// indices, library-level shard+merge byte-identity against the unsharded
+// aggregate, and the missing-point rule over degraded and unfinished
+// shard states.
 
 #include "sim/sweep_state.hpp"
 
@@ -24,11 +25,14 @@ namespace {
 
 // Deterministic probe: one CSV row that is a pure function of x, so
 // checkpoint accumulator states can be hand-built and compared exactly.
+// `fail` makes the run exit nonzero instead.
 TFMCC_SCENARIO(test_state_probe, "sweep state probe",
-               tfmcc::param("x", 1, "integer factor", 0)) {
+               tfmcc::param("x", 1, "integer factor", 0),
+               tfmcc::param("fail", false, "exit nonzero")) {
   const int x = opts.param_or("x", 1);
   auto& os = opts.out();
   os << "# state probe\n";
+  if (opts.param_or("fail", false)) return 3;
   CsvWriter csv(os, {"x", "sample"});
   csv.row(x, 2 * x);
   os << "NOTE: done\n";
@@ -150,7 +154,6 @@ TEST(ShardOwnership, RoundRobinByPointIndex) {
 /// `folded_tasks` tasks of the (unsharded, replicate-1) three-point sweep.
 SweepStateFile checkpoint_after(std::size_t folded_tasks) {
   SweepStateFile ck;
-  ck.kind = SweepStateFile::Kind::kCheckpoint;
   ck.manifest = SweepManifest::from(probe(), three_point_sweep());
   ck.header = "x,sample";
   ck.folded.assign(3, 0);
@@ -177,7 +180,6 @@ TEST(SweepStateFile, SaveLoadRoundTripIsExact) {
   std::ostringstream os2;
   back.save(os2);
   EXPECT_EQ(os2.str(), os.str());
-  EXPECT_EQ(back.kind, SweepStateFile::Kind::kCheckpoint);
   EXPECT_EQ(back.folded, (std::vector<char>{1, 1, 0}));
   ASSERT_EQ(back.points.size(), 2u);
   EXPECT_EQ(back.points[1].first, 1u);
@@ -207,6 +209,22 @@ TEST(SweepStateFile, LoadRejectsFoldsOnUnownedTasks) {
   std::string err;
   EXPECT_FALSE(SweepStateFile::load(is, back, err));
   EXPECT_NE(err.find("does not own"), std::string::npos) << err;
+}
+
+TEST(SweepStateFile, LoadRejectsPointStateDisagreeingWithTheHeader) {
+  // Resume and merge install point states as they are, so a state whose
+  // columns are not the file's CSV header must never load.
+  SweepStateFile ck = checkpoint_after(2);
+  ck.header = "x,other";
+  std::ostringstream os;
+  ck.save(os);
+  std::istringstream is{os.str()};
+  SweepStateFile back;
+  std::string err;
+  EXPECT_FALSE(SweepStateFile::load(is, back, err));
+  EXPECT_NE(err.find("disagrees with the recorded CSV header"),
+            std::string::npos)
+      << err;
 }
 
 TEST(SweepStateFile, LoadDiagnosesTruncationAtEveryPrefix) {
@@ -278,7 +296,7 @@ TEST(CheckpointProgress, ReadProgressPollsWithoutLoadingState) {
   std::remove(path.c_str());
 }
 
-TEST(CheckpointProgress, ReadProgressRefusesMissingGarbageAndPartials) {
+TEST(CheckpointProgress, ReadProgressRefusesMissingAndGarbage) {
   CheckpointProgress p;
   std::string err;
   EXPECT_FALSE(read_checkpoint_progress(temp_path("no_ckpt.bin"), p, err));
@@ -292,19 +310,25 @@ TEST(CheckpointProgress, ReadProgressRefusesMissingGarbageAndPartials) {
   write_file(truncated, "TFMCC-SWEEP-CKPT 2\nprogress 9");
   EXPECT_FALSE(read_checkpoint_progress(truncated, p, err));
 
-  // A shard partial has no progress header; polling one must fail loudly
-  // rather than invent liveness.
-  SweepStateFile part = checkpoint_after(0);
-  part.kind = SweepStateFile::Kind::kPartial;
-  part.folded.clear();
-  const std::string ppath = temp_path("part_as_progress.bin");
-  std::ostringstream werr;
-  ASSERT_TRUE(save_state_file_atomic(part, ppath, werr));
-  EXPECT_FALSE(read_checkpoint_progress(ppath, p, err));
-
   std::remove(garbage.c_str());
   std::remove(truncated.c_str());
-  std::remove(ppath.c_str());
+}
+
+TEST(CheckpointProgress, AShardsFinalOutputPollsAsFullyFolded) {
+  // The final --output of a shard is its last checkpoint: polling it shows
+  // every owned task folded.
+  SweepOptions sweep = three_point_sweep();
+  sweep.replicate = 2;
+  sweep.shard_index = 0;
+  sweep.shard_count = 2;
+  const std::string path = temp_path("final_as_progress.bin");
+  write_file(path, sweep_output(sweep));
+  CheckpointProgress p;
+  std::string err;
+  ASSERT_TRUE(read_checkpoint_progress(path, p, err)) << err;
+  EXPECT_EQ(p.folded_tasks, 4u);  // points 0 and 2, two replicates each
+  EXPECT_EQ(p.owned_tasks, 4u);
+  std::remove(path.c_str());
 }
 
 TEST(CheckpointProgress, LoadRejectsAHeaderDisagreeingWithTheBitmap) {
@@ -411,18 +435,71 @@ TEST(Resume, RefusesAnOlderFormatVersion) {
   std::remove(path.c_str());
 }
 
-TEST(Resume, RefusesAShardPartialFile) {
-  SweepStateFile part = checkpoint_after(0);
-  part.kind = SweepStateFile::Kind::kPartial;
-  part.folded.clear();
-  const std::string path = temp_path("partial_as_ckpt.bin");
-  std::ostringstream werr;
-  ASSERT_TRUE(save_state_file_atomic(part, path, werr));
+TEST(Resume, RefusesAFileOfAnotherFormat) {
+  const std::string path = temp_path("foreign.bin");
+  write_file(path, "TFMCC-SWEEP-OLD 1\nmanifest 1\nscenario 3:zzz");
   SweepOptions resumed = three_point_sweep();
   resumed.resume_path = path;
   std::string err;
   sweep_output(resumed, 2, &err);
-  EXPECT_NE(err.find("shard partial"), std::string::npos) << err;
+  EXPECT_NE(err.find("bad magic"), std::string::npos) << err;
+  std::remove(path.c_str());
+}
+
+TEST(Resume, AVersion2CheckpointStillLoads) {
+  // Version 2 had no failed-point list; everything else is unchanged.
+  std::ostringstream os;
+  checkpoint_after(1).save(os);
+  std::string text = os.str();
+  text.replace(text.find("TFMCC-SWEEP-CKPT 3"), 18, "TFMCC-SWEEP-CKPT 2");
+  text.erase(text.find("failed 0\n"), 9);
+  const std::string path = temp_path("v2.bin");
+  write_file(path, text);
+  SweepOptions resumed = three_point_sweep();
+  resumed.resume_path = path;
+  EXPECT_EQ(sweep_output(resumed), sweep_output(three_point_sweep()));
+  std::remove(path.c_str());
+}
+
+TEST(Resume, AShardsFinalOutputResumesToTheSameBytes) {
+  // A shard's final output is a finished checkpoint: resuming it runs
+  // nothing and writes the same state back.
+  SweepOptions sweep = three_point_sweep();
+  sweep.shard_index = 1;
+  sweep.shard_count = 2;
+  const std::string final_state = sweep_output(sweep);
+  const std::string path = temp_path("final_resume.bin");
+  write_file(path, final_state);
+  SweepOptions resumed = sweep;
+  resumed.resume_path = path;
+  EXPECT_EQ(sweep_output(resumed), final_state);
+  std::remove(path.c_str());
+}
+
+/// The four-point grid of the degraded-shard scenario: x in {1, 2} times
+/// fail in {false, true}.  Round-robin gives shard 1 of 2 exactly the two
+/// failing points (indices 1 and 3).
+SweepOptions degraded_sweep() {
+  SweepOptions sweep;
+  sweep.axes = {{"x", {"1", "2"}}, {"fail", {"false", "true"}}};
+  sweep.max_point_failures = 2;
+  return sweep;
+}
+
+TEST(Resume, ADegradedShardOutputIsNotEmittedSilently) {
+  SweepOptions sweep = degraded_sweep();
+  sweep.shard_index = 1;
+  sweep.shard_count = 2;
+  const std::string path = temp_path("degraded_resume.bin");
+  write_file(path, sweep_output(sweep, 1));
+  SweepOptions resumed = sweep;
+  resumed.resume_path = path;
+  std::string err;
+  sweep_output(resumed, 1, &err);
+  EXPECT_NE(err.find("missing from the aggregate:"), std::string::npos)
+      << err;
+  EXPECT_NE(err.find("  x=1,fail=true\n"), std::string::npos) << err;
+  EXPECT_NE(err.find("  x=2,fail=true\n"), std::string::npos) << err;
   std::remove(path.c_str());
 }
 
@@ -501,6 +578,89 @@ TEST(ShardMerge, MoreShardsThanPointsLeavesSomeShardsEmpty) {
   sweep.axes = {{"x", {"1", "2"}}};
   const std::string full = sweep_output(sweep);
   EXPECT_EQ(shard_and_merge(sweep, 4, "sparse"), full);
+}
+
+TEST(ShardMerge, DegradedShardsMergeToTheNamedDegradedTable) {
+  // Shard 1 owns both failing points; it exits 1 naming them, and merging
+  // its output must not pass the degraded table off as complete: exit 1,
+  // both points named, and the same rows the unsharded degraded sweep
+  // emits.
+  const SweepOptions sweep = degraded_sweep();
+  std::string unsharded_err;
+  const std::string degraded = sweep_output(sweep, 1, &unsharded_err);
+  std::vector<std::string> args{"--output", temp_path("degraded_merged.csv")};
+  for (int s = 0; s < 2; ++s) {
+    SweepOptions sharded = sweep;
+    sharded.shard_index = s;
+    sharded.shard_count = 2;
+    std::string shard_err;
+    const std::string part =
+        sweep_output(sharded, s == 1 ? 1 : 0, &shard_err);
+    if (s == 1) {
+      EXPECT_NE(shard_err.find("  x=1,fail=true\n"), std::string::npos)
+          << shard_err;
+    }
+    args.push_back(temp_path("degraded_part" + std::to_string(s) + ".bin"));
+    write_file(args.back(), part);
+  }
+  std::string err;
+  EXPECT_EQ(run_merge(args, &err), 1) << err;
+  EXPECT_NE(err.find("missing from the aggregate:"), std::string::npos)
+      << err;
+  EXPECT_NE(err.find("  x=1,fail=true\n"), std::string::npos) << err;
+  EXPECT_NE(err.find("  x=2,fail=true\n"), std::string::npos) << err;
+  EXPECT_EQ(read_file(args[1]), degraded);
+  for (std::size_t i = 1; i < args.size(); ++i) std::remove(args[i].c_str());
+}
+
+TEST(ShardMerge, AnInProgressCheckpointNamesItsUnfinishedPoints) {
+  // Shard 0 of 2 owns points 0 and 2 (x=1, x=3); its checkpoint folded
+  // point 0 and one of point 2's two replicates.  Shard 1 finished.
+  SweepOptions sweep = three_point_sweep();
+  sweep.replicate = 2;
+  const std::string full = sweep_output(sweep);
+
+  SweepOptions shard0 = sweep;
+  shard0.shard_count = 2;
+  SweepStateFile ck;
+  ck.manifest = SweepManifest::from(probe(), shard0);
+  ck.header = "x,sample";
+  ck.folded = {1, 1, 0, 0, 1, 0};
+  std::ostringstream row_err;
+  for (std::size_t p : {0u, 2u}) {
+    summary::ColumnSummary acc{{"x", "sample"}};
+    const int x = static_cast<int>(p) + 1;
+    for (int rep = 0; rep < (p == 0 ? 2 : 1); ++rep) {
+      ASSERT_TRUE(acc.add_row({std::to_string(x), std::to_string(2 * x)},
+                              row_err));
+    }
+    ck.points.emplace_back(p, std::move(acc));
+  }
+  const std::string ck_path = temp_path("inprogress_ck.bin");
+  std::ostringstream werr;
+  ASSERT_TRUE(save_state_file_atomic(ck, ck_path, werr)) << werr.str();
+
+  SweepOptions shard1 = sweep;
+  shard1.shard_index = 1;
+  shard1.shard_count = 2;
+  const std::string part_path = temp_path("inprogress_part1.bin");
+  write_file(part_path, sweep_output(shard1));
+
+  const std::string out_path = temp_path("inprogress_merged.csv");
+  std::string err;
+  EXPECT_EQ(run_merge({"--output", out_path, ck_path, part_path}, &err), 1)
+      << err;
+  EXPECT_NE(err.find("(0 failed, 1 unfinished) missing from the aggregate:\n"
+                     "  x=3\n"),
+            std::string::npos)
+      << err;
+  // The complete points keep their bytes; the half-folded point is left
+  // out rather than summarized over one replicate.
+  const std::string merged = read_file(out_path);
+  EXPECT_EQ(merged, full.substr(0, full.rfind('\n', full.size() - 2) + 1));
+  std::remove(ck_path.c_str());
+  std::remove(part_path.c_str());
+  std::remove(out_path.c_str());
 }
 
 TEST(MergeCli, NoArgumentsPrintsUsage) {
